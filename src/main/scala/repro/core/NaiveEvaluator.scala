@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.query._
 
@@ -10,14 +10,6 @@ import repro.core.query._
   * validate the A+ engine, the baselines, and the index-backed plans.
   */
 object NaiveEvaluator {
-
-  private def cmp(l: Column, op: CmpOp, r: Column): Column = op match {
-    case Lt   => l < r
-    case Le   => l <= r
-    case Gt   => l > r
-    case Ge   => l >= r
-    case EqOp => l === r
-  }
 
   /** Returns one column per query vertex (its matched vertex ID, named after
     * the variable) and one per query edge (its matched edge ID). */
@@ -90,7 +82,7 @@ object NaiveEvaluator {
       e.label.foreach(l => df = df.where(col(s"${e.name}__eLabel") === l))
       e.idEq.foreach(x => df = df.where(col(e.name) === x))
       e.scalarPreds.foreach(sp =>
-        df = df.where(cmp(col(s"${e.name}__${sp.prop}"), sp.op, lit(sp.value))))
+        df = df.where(Cmp(col(s"${e.name}__${sp.prop}"), sp.op, lit(sp.value))))
     }
 
     // Cross predicates.
@@ -101,7 +93,7 @@ object NaiveEvaluator {
     }
     q.edgePairs.foreach { p =>
       df = df.where(
-        cmp(col(s"${p.e1}__${p.p1}"), p.op, col(s"${p.e2}__${p.p2}") + lit(p.delta)))
+        Cmp(col(s"${p.e1}__${p.p1}"), p.op, col(s"${p.e2}__${p.p2}") + lit(p.delta)))
     }
 
     val outCols =

@@ -81,7 +81,10 @@ object MemoryModel {
   }
 
   def edgeBoundBytes(g: PropertyGraph, idx: APlusIndex): Long = {
-    val shape = idx.defn.kind.asInstanceOf[EdgeBoundKind].shape
+    val shape = idx.defn.kind match {
+      case EdgeBoundKind(s) => s
+      case k => throw new IllegalArgumentException(s"${idx.name} is a $k index, not edge-bound")
+    }
     val adjDir = if (shape.adjOutgoing) Fwd else Bwd
     val pk = idx.defn.partKeys.map(_.colName)
     val lists = idx.df

@@ -1,6 +1,6 @@
 package repro.core.plan
 
-import repro.core.index.{APlusIndex, Direction, Fwd, Bwd}
+import repro.core.index.{APlusIndex, Direction, EdgeBoundKind, Fwd, Bwd}
 import repro.core.query.{QEdge, QueryGraph}
 
 /** What an adjacency-list access is bound to (§2): a matched vertex variable
@@ -14,9 +14,10 @@ final case class Access(qe: QEdge, index: APlusIndex, bound: Bound) {
   /** Extension direction (meaningful for vertex-bound accesses). */
   def dir: Direction = bound match {
     case VBound(v) => if (qe.from == v) Fwd else Bwd
-    case EBound(_) =>
-      if (index.defn.kind.asInstanceOf[repro.core.index.EdgeBoundKind].shape.adjOutgoing) Fwd
-      else Bwd
+    case EBound(_) => index.defn.kind match {
+      case EdgeBoundKind(shape) => if (shape.adjOutgoing) Fwd else Bwd
+      case k => throw new IllegalStateException(s"edge-bound access through ${index.name}, a $k index")
+    }
   }
   /** The query vertex this access reaches (the neighbour side). */
   def reaches: String = bound match {

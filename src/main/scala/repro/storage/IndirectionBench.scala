@@ -19,6 +19,8 @@ object IndirectionBench {
            maxPathsPerSource: Long = Long.MaxValue): (Long, Long) = {
     val tupleE = new Array[Long](k)
     val tupleN = new Array[Int](k)
+    /** List mode: the decoded offset list being read at each depth. */
+    val offs   = Array.fill(k)(new Array[Int](0))
     var count  = 0L
     var check  = 0L
     var budget = 0L
@@ -40,9 +42,12 @@ object IndirectionBench {
           }
         case ListIndirection(idx) =>
           val lst = idx.lists(v)
+          if (offs(depth).length < d) offs(depth) = new Array[Int](d)
+          val off = offs(depth)
+          OffsetListCodec.decodeInto(lst, off)
           var i = 0
           while (i < d && budget < maxPathsPerSource) {
-            val p = start + OffsetListCodec.get(lst, i)
+            val p = start + off(i)
             val e = csr.eIds(p); val n = csr.nbrs(p)
             tupleE(depth) = e; tupleN(depth) = n
             if (depth == k - 1) { count += 1; budget += 1; check += e + n }

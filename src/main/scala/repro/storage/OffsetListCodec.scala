@@ -49,11 +49,36 @@ object OffsetListCodec {
     v
   }
 
-  def decode(encoded: Array[Byte]): Array[Int] = {
-    val n = length(encoded)
-    val out = new Array[Int](n)
+  /** Decode the whole list into `out`, which must hold at least
+    * `length(encoded)` entries, and return its length. The width is read
+    * once per list, and widths 1 and 2 take their own loops. */
+  def decodeInto(encoded: Array[Byte], out: Array[Int]): Int = {
+    val w = encoded(0).toInt
+    val n = (encoded.length - 1) / w
     var i = 0
-    while (i < n) { out(i) = get(encoded, i); i += 1 }
+    w match {
+      case 1 =>
+        while (i < n) { out(i) = encoded(1 + i) & 0xff; i += 1 }
+      case 2 =>
+        while (i < n) {
+          out(i) = (encoded(1 + 2 * i) & 0xff) | (encoded(2 + 2 * i) & 0xff) << 8
+          i += 1
+        }
+      case _ =>
+        while (i < n) {
+          var v = 0
+          var b = 0
+          while (b < w) { v |= (encoded(1 + i * w + b) & 0xff) << (8 * b); b += 1 }
+          out(i) = v
+          i += 1
+        }
+    }
+    n
+  }
+
+  def decode(encoded: Array[Byte]): Array[Int] = {
+    val out = new Array[Int](length(encoded))
+    decodeInto(encoded, out)
     out
   }
 }

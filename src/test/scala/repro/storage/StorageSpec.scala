@@ -43,6 +43,19 @@ class OffsetListCodecSpec extends AnyFunSuite {
     }
   }
 
+  test("decodeInto round-trips at widths 1-4") {
+    val r = new scala.util.Random(9L)
+    for ((max, w) <- Seq(255 -> 1, 65535 -> 2, (1 << 24) - 1 -> 3, Int.MaxValue -> 4); n <- Seq(1, 2, 37)) {
+      val xs = Array.tabulate(n)(i => if (i == n / 2) max else r.nextInt(max))
+      val enc = OffsetListCodec.encode(xs)
+      assert(OffsetListCodec.width(enc) == w)
+      val out = Array.fill(n + 3)(-1)
+      assert(OffsetListCodec.decodeInto(enc, out) == n)
+      assert(out.take(n).toSeq == xs.toSeq, s"width $w, $n offsets")
+      assert(out.drop(n).forall(_ == -1), s"width $w wrote past the list")
+    }
+  }
+
   test("one byte per offset for short lists (the paper's common case)") {
     val enc = OffsetListCodec.encode((0 until 200).toArray)
     assert(enc.length == 1 + 200)
@@ -107,6 +120,24 @@ class IndirectionBenchSpec extends AnyFunSuite {
     assert(seq._1 == lst._1 && lst._1 == glb._1)
     assert(seq._2 == lst._2 && lst._2 == glb._2)
     assert(seq._1 > 0)
+  }
+
+  test("list mode equals sequential mode on hub lists of 2- and 3-byte offsets") {
+    // vertex 0 has 70,000 out-edges (3-byte offsets), vertex 1 has 300
+    // (2-byte offsets), every other vertex 0-3
+    val r = new scala.util.Random(4L)
+    val nV = 1000
+    val srcs = Array.fill(70000)(0) ++ Array.fill(300)(1) ++ Array.fill(1500)(2 + r.nextInt(nV - 2))
+    val dsts = srcs.map(s => (s + 1 + r.nextInt(nV - 1)) % nV)
+    val hub = CSRGraph.build(nV, srcs, dsts, Array.tabulate(srcs.length)(_ + 1L))
+    val idx = OffsetIndex.shuffled(hub)
+    assert(OffsetListCodec.width(idx.lists(0)) == 3 && OffsetListCodec.width(idx.lists(1)) == 2)
+    for (k <- 1 to 3) {
+      val seq = IndirectionBench.kHop(hub, IndirectionBench.Sequential, Array(0, 1, 2, 3), k)
+      val lst = IndirectionBench.kHop(hub, IndirectionBench.ListIndirection(idx), Array(0, 1, 2, 3), k)
+      assert(lst == seq, s"$k hops")
+      assert(seq._1 >= 70300L)
+    }
   }
 
   test("path budget caps the per-source work") {
