@@ -124,7 +124,7 @@ class IndirectionBenchSpec extends AnyFunSuite {
 
   test("list mode equals sequential mode on hub lists of 2- and 3-byte offsets") {
     // vertex 0 has 70,000 out-edges (3-byte offsets), vertex 1 has 300
-    // (2-byte offsets), every other vertex 0-3
+    // (2-byte offsets), the other vertices 1.5 on average
     val r = new scala.util.Random(4L)
     val nV = 1000
     val srcs = Array.fill(70000)(0) ++ Array.fill(300)(1) ++ Array.fill(1500)(2 + r.nextInt(nV - 2))
